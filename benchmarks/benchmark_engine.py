@@ -17,15 +17,34 @@ measurement as the headline ``*_mean_seconds`` key) and
 :func:`repro.distributions.cdf_table.legacy_sampling` on the same
 machine in the same run.  bench-history hard-gates the fused keys and
 warns when fused is not comfortably ahead of legacy (docs/performance.md).
+
+The ``engine_width_*`` keys pair the one staged block loop with the
+frozen per-round loops it replaced, at the repository benchmark's
+engine-widths shapes (walk at n = 1, 250, 2000 and 20000; flight, ball
+and multi-target).  The two sides alternate call by call (ABAB, the
+first side swapping every repeat), so host drift hits both equally:
+``*_one_loop_seconds`` / ``*_round_loop_seconds`` are per-call medians
+and ``*_speedup`` is the median of the per-pair ratios (round / one).
 """
 
+import time
+
 import numpy as np
+import pytest
 
 from bench_utils import record_bench
-from legacy_engines import legacy_ball_hitting_times, legacy_walk_hitting_times
+from legacy_engines import (
+    legacy_ball_hitting_times,
+    legacy_walk_hitting_times,
+    round_loop_flight_hitting_times,
+    round_loop_multi_target_search,
+    round_loop_walk_hitting_times,
+)
 from repro.distributions.cdf_table import get_table, legacy_sampling
 from repro.distributions.zeta import ZetaJumpDistribution
 from repro.distributions.zipf_sampler import rejection_conditional_zipf
+from repro.engine.ball_targets import ball_hitting_times
+from repro.engine.multi_target import multi_target_search
 from repro.engine.samplers import HeterogeneousZetaSampler
 from repro.engine.vectorized import flight_hitting_times, walk_hitting_times
 from repro.lattice.direct_path import sample_direct_path_nodes
@@ -164,3 +183,83 @@ def test_multi_target_engine(benchmark):
     result = benchmark(run)
     _persist(benchmark, "multi_target_engine")
     assert result.n_items == field.shape[0]
+
+
+# ------------------------------------------------ one loop vs per-round loop
+
+#: The engine-widths shapes: ell = 24, horizon ell**2, alpha = 2.6.
+_WIDTH_LAW = ZetaJumpDistribution(2.6)
+_WIDTH_TARGET = (16, 8)
+_WIDTH_HORIZON = 24 * 24
+_WIDTH_FIELD = [(16, 8), (-9, 11), (4, -20)]
+#: (class, engine, n, paired repeats)
+_WIDTH_CLASSES = (
+    ("walk_n1", "walk", 1, 301),
+    ("walk_n250", "walk", 250, 61),
+    ("walk_n2000", "walk", 2000, 21),
+    ("walk_n20000", "walk", 20000, 7),
+    ("flight", "flight", 2000, 21),
+    ("ball", "ball", 2000, 21),
+    ("multi_target", "multi_target", 1000, 21),
+)
+
+
+def _width_pair(engine: str, n: int):
+    """``(one_loop(seed), round_loop(seed))`` callables for one class."""
+    law, target, horizon = _WIDTH_LAW, _WIDTH_TARGET, _WIDTH_HORIZON
+    if engine == "walk":
+        return (
+            lambda s: walk_hitting_times(law, target, horizon=horizon, n=n, rng=s),
+            lambda s: round_loop_walk_hitting_times(law, target, horizon=horizon, n=n, rng=s),
+        )
+    if engine == "flight":
+        return (
+            lambda s: flight_hitting_times(law, target, horizon=horizon, n=n, rng=s),
+            lambda s: round_loop_flight_hitting_times(law, target, horizon=horizon, n=n, rng=s),
+        )
+    if engine == "ball":
+        # The frozen ball twin is the pre-fusing loop, under its sampler.
+        def frozen_ball(s):
+            with legacy_sampling():
+                return legacy_ball_hitting_times(
+                    law, target, radius=2, horizon=horizon, n=n, rng=s
+                )
+
+        return (
+            lambda s: ball_hitting_times(law, target, radius=2, horizon=horizon, n=n, rng=s),
+            frozen_ball,
+        )
+    field = _WIDTH_FIELD
+    return (
+        lambda s: multi_target_search(law, field, horizon=horizon, n=n, rng=s),
+        lambda s: round_loop_multi_target_search(law, field, horizon=horizon, n=n, rng=s),
+    )
+
+
+def _paired_seconds(one, other, repeats: int):
+    """Alternate the two callables; per-call seconds for each side."""
+    times = ([], [])
+    for rep in range(repeats):
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        for side in order:
+            fn = (one, other)[side]
+            started = time.perf_counter()
+            fn(rep)
+            times[side].append(time.perf_counter() - started)
+    return times
+
+
+@pytest.mark.parametrize("cls,engine,n,repeats", _WIDTH_CLASSES)
+def test_engine_width_one_loop_vs_round_loop(benchmark, cls, engine, n, repeats):
+    get_table(_WIDTH_LAW.alpha, _WIDTH_LAW.lazy_probability, _WIDTH_LAW.cap)
+    one, other = _width_pair(engine, n)
+    one(0), other(0)  # warm both paths outside the timer
+    one_s, round_s = benchmark.pedantic(
+        _paired_seconds, args=(one, other, repeats), rounds=1, iterations=1
+    )
+    ratios = np.array(round_s) / np.array(one_s)
+    record_bench("engine", {
+        f"engine_width_{cls}_one_loop_seconds": float(np.median(one_s)),
+        f"engine_width_{cls}_round_loop_seconds": float(np.median(round_s)),
+        f"engine_width_{cls}_speedup": float(np.median(ratios)),
+    })

@@ -68,10 +68,12 @@ class HittingTimeSample:
         return self.times[self.hit_mask]
 
     def probability_by(self, t: int) -> float:
-        """Empirical ``P(tau <= t)`` for ``t <= horizon``."""
+        """Empirical ``P(tau <= t)`` for ``t <= horizon`` (nan when empty)."""
         if t > self.horizon:
             raise ValueError(f"t={t} exceeds the horizon {self.horizon}")
-        return float(np.count_nonzero(self.hit_mask & (self.times <= t)) / self.n)
+        if not self.n:
+            return float("nan")
+        return np.count_nonzero(self.hit_mask & (self.times <= t)) / self.n
 
     def restricted(self, t: int) -> "HittingTimeSample":
         """Re-censor the sample at an earlier horizon ``t``."""

@@ -282,17 +282,6 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         "per-chunk for non-slab payloads), 'pickle' forces the classic "
         "pipe transport, 'auto' (default) uses shm when /dev/shm works",
     )
-    parser.add_argument(
-        "--ring-rounds",
-        type=int,
-        default=0,
-        dest="ring_rounds",
-        metavar="R",
-        help="run engines with the interleaved walker-ring loop staging R "
-        "rounds per pass (0 = legacy per-round loop; ring mode changes "
-        "RNG consumption order, so samples are equivalent in law but not "
-        "bit-identical to the legacy loop)",
-    )
 
 
 def add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -422,7 +411,6 @@ def runner_from_args(args: argparse.Namespace):
     min_disk_mb = getattr(args, "min_disk_mb", None)
     min_memory_mb = getattr(args, "min_memory_mb", None)
     pool_transport = getattr(args, "pool_transport", "auto")
-    ring_rounds = getattr(args, "ring_rounds", 0)
     wants_runner = (
         args.checkpoint_dir is not None
         or args.resume
@@ -436,7 +424,6 @@ def runner_from_args(args: argparse.Namespace):
         or min_disk_mb is not None
         or min_memory_mb is not None
         or pool_transport != "auto"
-        or ring_rounds
     )
     if not wants_runner:
         return None
@@ -477,7 +464,6 @@ def runner_from_args(args: argparse.Namespace):
         retry_policy=retry_policy,
         resource_guards=resource_guards,
         pool_transport=pool_transport,
-        ring_rounds=ring_rounds,
     )
 
 

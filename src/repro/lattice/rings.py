@@ -168,18 +168,25 @@ def sample_ring_offsets(
     # index == 4d.  For d == 0 the index is 0 and the branch-free formulas
     # below yield (0, 0) via the final where.
     four_d = 4 * d
-    index = np.minimum(
-        (u * four_d).astype(np.int64), np.maximum(four_d - 1, 0)
-    )
+    index = (u * four_d).astype(np.int64)
+    four_d -= 1
+    np.maximum(four_d, 0, out=four_d)
+    np.minimum(index, four_d, out=index)
     # Branch-free diamond walk, counter-clockwise from (d, 0):
     # indices [0, 2d] sweep x from d down to -d on the y >= 0 side,
     # indices (2d, 4d) sweep x from -d+1 up to d-1 on the y < 0 side.
+    # Scratch arrays are reused in place: the block engines call this
+    # on ~16k rows at a time.
     upper = index <= 2 * d
-    x = np.where(upper, d - index, index - 3 * d)
-    y_mag = d - np.abs(x)
-    y = np.where(upper, y_mag, -y_mag)
+    lower_x = np.multiply(d, 3, out=four_d)
+    np.subtract(index, lower_x, out=lower_x)  # index - 3d
+    np.subtract(d, index, out=index)  # d - index
+    x = np.where(upper, index, lower_x)
     if out is None:
         out = np.empty((n, 2), dtype=np.int64)
     out[:, 0] = x
-    out[:, 1] = y
+    y_mag = np.abs(x, out=index)
+    del x
+    np.subtract(d, y_mag, out=y_mag)
+    out[:, 1] = np.where(upper, y_mag, np.negative(y_mag, out=four_d))
     return out

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import shm as _shm
-from repro.engine.ring import ring_scope
 from repro.runner import tasks as _tasks
 from repro.runner.checkpoint import SCHEMA_VERSION, CheckpointStore
 from repro.runner.chunking import ChunkPlan, clamp_chunks
@@ -117,17 +116,18 @@ def _execute_chunk(
     heartbeat: Optional[Tuple[str, float]] = None,
     profile: bool = False,
     slab: Optional[str] = None,
-    ring: int = 0,
 ):
     """Run one chunk (in the parent or a pool worker).
 
     Returns ``(index, result, meta)`` where ``meta`` always carries the
     executing process's pid as ``worker_id`` and -- when ``profile`` is
     set -- the chunk's drained engine phase timings (``phases`` seconds
-    per stage, ``engines`` call counts).  The parent turns the meta into
-    the ``chunk_end``/``phase_profile`` events, which is how phase
-    profiles escape pool workers whose recorder is a null
-    :class:`WorkerHeartbeat` with no event log of its own.
+    per stage, ``engines`` call counts) and, from a pool worker, its
+    engine work counters (``counts``: ``engine.steps_simulated`` and
+    ``engine.jumps_sampled``).  The parent turns the meta into the
+    ``chunk_end``/``phase_profile`` events and counter bumps, which is
+    how both escape pool workers whose recorder is a null
+    :class:`WorkerHeartbeat` with no event log or metrics of its own.
 
     ``heartbeat`` is ``(path, interval)``: when set, a
     :class:`~repro.runner.supervision.WorkerHeartbeat` recorder is
@@ -143,11 +143,6 @@ def _execute_chunk(
     ``meta["transport"]`` is ``"shm"``.  Payload kinds without a slab
     layout return the payload itself with ``meta["transport"]`` set to
     ``"pickle-fallback"`` so the parent can flag the silent downgrade.
-
-    ``ring > 1`` enables the interleaved walker-ring loop
-    (:mod:`repro.engine.ring`) for the chunk's engine calls.  Applied
-    identically in serial and pooled execution, so a run's results stay
-    bit-identical across worker counts for a fixed ``ring`` setting.
     """
     from repro.telemetry.recorder import get_recorder as _get_recorder
 
@@ -173,14 +168,18 @@ def _execute_chunk(
             recorder.profile = PhaseAccumulator()
         if injector is not None:
             injector.in_worker(index, attempt)
-        with ring_scope(ring):
-            payload = task(n, seed)
+        payload = task(n, seed)
         meta: Dict[str, Any] = {"worker_id": os.getpid()}
-        if profile:
-            accumulator = getattr(_get_recorder(), "profile", None)
-            drained = accumulator.drain() if accumulator is not None else None
+        accumulator = getattr(_get_recorder(), "profile", None) if profile else None
+        if accumulator is not None:
+            drained = accumulator.drain()
             if drained is not None:
                 meta["phases"], meta["engines"] = drained
+            # Non-empty only where the engines had no live recorder to
+            # count into, i.e. in a pool worker.
+            counts = accumulator.take_counts()
+            if counts:
+                meta["counts"] = counts
         result: Any = payload
         if slab is not None:
             ref = _shm.encode_payload(payload, slab)
@@ -196,7 +195,13 @@ def _execute_chunk(
 
 
 def _pool_initializer(descriptors) -> None:
-    """Attach the run's published CDF tables in a fresh pool worker.
+    """Set up a fresh pool worker: null recorder, the run's CDF tables.
+
+    A forked worker inherits a copy of the parent's live recorder, whose
+    metrics and event buffer never reach the parent; the engines would
+    pay for telemetry nobody reads and park no counts for the chunk
+    meta.  Workers therefore start from a null recorder, and everything
+    they report travels back in :func:`_execute_chunk`'s meta.
 
     Passed as the :class:`ProcessPoolExecutor` initializer with the
     registry's picklable descriptors, so *every* pool this Runner builds
@@ -204,6 +209,9 @@ def _pool_initializer(descriptors) -> None:
     re-attaches the same shared segments instead of re-deriving tables.
     A vanished segment is skipped (the worker derives locally).
     """
+    from repro.telemetry.recorder import set_recorder
+
+    set_recorder(None)
     if descriptors:
         _shm.attach_tables(descriptors)
 
@@ -348,10 +356,6 @@ class Runner:
         cross the pool boundary and whether CDF tables are published to
         workers via shared memory (:mod:`repro.engine.shm`).  ``"auto"``
         (default) picks shm where available.  Bit-identical either way.
-    ring_rounds:
-        ``> 1`` runs the engines' interleaved walker-ring loop with this
-        block depth (:mod:`repro.engine.ring`), in serial and pooled
-        execution alike.  0 (default) keeps the legacy round loop.
     """
 
     def __init__(
@@ -371,7 +375,6 @@ class Runner:
         resource_guards: Optional[ResourceGuards] = None,
         heartbeat_interval: Optional[float] = None,
         pool_transport: str = "auto",
-        ring_rounds: int = 0,
     ) -> None:
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be positive, got {n_chunks}")
@@ -381,8 +384,6 @@ class Runner:
             raise ValueError(
                 f"pool_transport must be 'shm', 'pickle' or 'auto', got {pool_transport!r}"
             )
-        if ring_rounds < 0:
-            raise ValueError(f"ring_rounds must be non-negative, got {ring_rounds}")
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.n_chunks = int(n_chunks)
         self.workers = int(workers)
@@ -406,12 +407,6 @@ class Runner:
         #: Transport never changes the merged sample -- slab round-trips
         #: are bit-exact -- only how the bytes move.
         self.pool_transport = pool_transport
-        #: Engine block depth for the interleaved walker-ring loop; 0/1
-        #: keeps the legacy round-by-round loop.  Applied in serial and
-        #: pooled execution alike (worker-count invariance holds per
-        #: setting; samples differ *between* settings -- see
-        #: repro.engine.ring).
-        self.ring_rounds = int(ring_rounds)
         #: Segment-name prefix of the last pooled run's shm transport
         #: (tests / leak audits); None until a pooled shm run happens.
         self.shm_prefix: Optional[str] = None
@@ -661,9 +656,16 @@ class Runner:
         """Merge a job's chunks, classify the outcome, emit ``run_end``."""
         plan, completed, notes = state.plan, state.completed, state.notes
         reason = state.reason or global_reason
-        converged = reason == "converged"
+        # `converged` means "stopped early on the CI target", judged on the
+        # chunks actually merged -- not on when the loop last polled the
+        # monitor, which differs between serial and pooled execution.
+        converged = (
+            reason == "converged"
+            and len(completed) < plan.n_chunks
+            and state.monitor.target_met()
+        )
         quarantined_point = reason == "quarantined"
-        resolved = converged or quarantined_point
+        resolved = reason == "converged" or quarantined_point
         interrupted = reason is not None and not resolved and stop_requested()
         degraded = (
             len(completed) < plan.n_chunks and not interrupted and not resolved
@@ -846,7 +848,6 @@ class Runner:
                     _, payload, meta = _execute_chunk(
                         state.task, index, state.sizes[index], state.seeds[index],
                         self.fault_injector, attempt, None, profile,
-                        None, self.ring_rounds,
                     )
                     payload = self._screen_payload(state, index, attempt, payload)
                 except Exception as exc:
@@ -894,7 +895,8 @@ class Runner:
         """Emit the chunk's phase_profile (if any) and chunk_end events.
 
         ``meta`` is :func:`_execute_chunk`'s third return value
-        (``worker_id`` plus drained phase timings); ``ipc`` is the
+        (``worker_id``, drained phase timings and pool-worker engine
+        counters); ``ipc`` is the
         parent-side serialization accounting for pooled results.  The
         phase_profile goes first so the chunk_end flush makes both
         durable together.
@@ -930,6 +932,8 @@ class Runner:
                 rec.metrics.counter(f"engine.phase_seconds.{phase}").add(
                     phase_seconds
                 )
+            for name, value in (meta.get("counts") or {}).items():
+                rec.metrics.counter(name).add(value)
             if ipc:
                 rec.metrics.counter("runner.ipc_bytes").add(ipc.get("ipc_bytes", 0))
                 rec.metrics.counter("runner.pickle_seconds").add(
@@ -1098,19 +1102,31 @@ class Runner:
                             supervisor.register(state.label, index, slab=slab),
                             hb_interval,
                         )
-                    future = executor.submit(
-                        _execute_chunk,
-                        state.task,
-                        index,
-                        state.sizes[index],
-                        state.seeds[index],
-                        self.fault_injector,
-                        attempt,
-                        heartbeat,
-                        profile,
-                        slab,
-                        self.ring_rounds,
-                    )
+                    try:
+                        future = executor.submit(
+                            _execute_chunk,
+                            state.task,
+                            index,
+                            state.sizes[index],
+                            state.seeds[index],
+                            self.fault_injector,
+                            attempt,
+                            heartbeat,
+                            profile,
+                            slab,
+                        )
+                    except BrokenProcessPool:
+                        # A worker died since the last poll: this chunk
+                        # never started.  Put it back; the dead worker's
+                        # in-flight future fails and triggers the rebuild.
+                        if supervisor is not None:
+                            supervisor.unregister(state.label, index)
+                        queue.insert(0, (state, index))
+                        if not inflight:  # it died idle: nothing will fail
+                            self._kill_pool(executor)
+                            executor = None
+                            rebuild_pool(state.label, "worker process died")
+                        break
                     inflight[future] = (state, index, time.monotonic(), slab)
                     rec.event(
                         "chunk_start",

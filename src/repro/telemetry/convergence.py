@@ -133,20 +133,30 @@ class ConvergenceMonitor:
 
     # -------------------------------------------------------------- stopping
 
-    def _update_converged(self) -> None:
+    def target_met(self) -> bool:
+        """Whether the chunks observed so far meet the CI target.
+
+        A function of the observed totals only, not of the order the
+        chunks arrived in: the runner decides a run's final ``converged``
+        flag from it, so serial and pooled runs that merged the same
+        chunks agree.
+        """
         config = self.config
-        if config.rel_ci_width is None or self.converged:
-            return
         proportion = self._proportion
-        if proportion.trials == 0 or self._chunks_observed < config.min_chunks:
-            return
-        if proportion.successes < config.min_successes:
-            return
-        if proportion.rel_half_width <= config.rel_ci_width:
+        return (
+            config.rel_ci_width is not None
+            and proportion.trials > 0
+            and self._chunks_observed >= config.min_chunks
+            and proportion.successes >= config.min_successes
+            and proportion.rel_half_width <= config.rel_ci_width
+        )
+
+    def _update_converged(self) -> None:
+        if not self.converged and self.target_met():
             self.converged = True
 
     def should_stop(self) -> bool:
-        """True once the runner may finish early with ``converged`` status."""
+        """True once the runner may finish early (the target was met)."""
         return self.converged
 
     def stop_fields(self) -> dict:

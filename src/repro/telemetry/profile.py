@@ -57,14 +57,19 @@ class PhaseAccumulator:
     counts one completed engine invocation.  :meth:`drain` converts the
     nanos to seconds, returns them, and resets -- the runner calls it
     once per chunk.
+
+    :meth:`count` parks engine work counters where no live recorder can
+    take them (a pool worker's recorder is null); the runner ships them
+    to the parent with the chunk via :meth:`take_counts`.
     """
 
-    __slots__ = ("_nanos", "_engine_calls", "_mark")
+    __slots__ = ("_nanos", "_engine_calls", "_mark", "_counts")
 
     def __init__(self) -> None:
         self._nanos: Dict[str, int] = {}
         self._engine_calls: Dict[str, int] = {}
         self._mark = 0
+        self._counts: Dict[str, int] = {}
 
     def start(self) -> None:
         """(Re)anchor the lap clock; call at the top of each round."""
@@ -81,6 +86,17 @@ class PhaseAccumulator:
         """Count one completed engine invocation under ``engine``."""
         calls = self._engine_calls
         calls[engine] = calls.get(engine, 0) + 1
+
+    def count(self, steps: int, jumps: int) -> None:
+        """Add one engine call's simulated steps and sampled jumps."""
+        counts = self._counts
+        counts["engine.steps_simulated"] = counts.get("engine.steps_simulated", 0) + steps
+        counts["engine.jumps_sampled"] = counts.get("engine.jumps_sampled", 0) + jumps
+
+    def take_counts(self) -> Dict[str, int]:
+        """Return the parked counters (metric name -> value) and reset."""
+        counts, self._counts = self._counts, {}
+        return counts
 
     @property
     def empty(self) -> bool:

@@ -41,6 +41,14 @@ def test_probability_by():
         sample.probability_by(101)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_empty_sample_probabilities_are_nan_without_warning():
+    # A deadline can end a run before any chunk finished: n = 0.
+    sample = make([])
+    assert np.isnan(sample.hit_fraction)
+    assert np.isnan(sample.probability_by(50))
+
+
 def test_restricted():
     sample = make([5, 10, 20, CENSORED])
     restricted = sample.restricted(10)

@@ -113,16 +113,21 @@ def test_multi_walk_first_discovery_is_min(rng):
 def test_same_ring_items_share_crossing(rng):
     """Two items on the same ring of a length-6 jump cannot both be hit in
     one phase; with a constant-6 law from the origin and horizon 6, the
-    total hits over both items per run is at most 1."""
+    total hits over both items per run is at most 1.
+
+    The second pair are the two tie candidates at ring 3 of a jump to
+    (3, 3) (probability 1/24): one sampled crossing node per ring finds
+    exactly one of them, where sampling each item's ring on its own
+    would find both a quarter of the time."""
     law = ConstantJumpDistribution(6)
-    items = [(3, 0), (0, 3)]  # both on ring 3
-    both = 0
-    for _ in range(400):
-        result = multi_target_search(law, items, horizon=6, n=1, rng=rng)
-        found = result.discovery_times != CENSORED
-        if found.all():
-            both += 1
-    assert both == 0
+    for items, runs in (([(3, 0), (0, 3)], 400), ([(2, 1), (1, 2)], 2000)):
+        both = 0
+        for _ in range(runs):
+            result = multi_target_search(law, items, horizon=6, n=1, rng=rng)
+            found = result.discovery_times != CENSORED
+            if found.all():
+                both += 1
+        assert both == 0
 
 
 def test_unit_law_walk(rng):

@@ -185,3 +185,56 @@ def test_empty_grid():
     spec = SweepSpec(axes={"alpha": (2.5,)}, n=10, horizon=10, where=lambda p: False)
     result = run_sweep(spec, seed=0)
     assert len(result) == 0 and not result.degraded
+
+
+def test_pool_workers_publish_engine_counters():
+    """A complete sweep counts the same engine work at workers=0 and 2."""
+    from repro import telemetry
+
+    names = ("engine.steps_simulated", "engine.jumps_sampled")
+    counts = []
+    for workers in (0, 2):
+        recorder = telemetry.TelemetryRecorder()
+        with telemetry.use_recorder(recorder):
+            run_sweep(make_spec(), seed=SEED, runner=Runner(n_chunks=3, workers=workers))
+        snapshot = recorder.metrics.snapshot()
+        counts.append({name: snapshot[name]["value"] for name in names})
+    assert counts[0] == counts[1]
+    assert counts[0]["engine.steps_simulated"] >= counts[0]["engine.jumps_sampled"] > 0
+
+
+def test_converged_flag_agrees_serial_and_pooled():
+    """The T1.5 point alpha=2.8, l=48 meets its CI target only on all 8 chunks.
+
+    Such a run skipped no work, so it is not ``converged`` -- serial and
+    pooled alike, whenever the pooled loop happens to poll the monitor.
+    """
+    import itertools
+
+    from repro.analysis.streaming import StreamingProportion
+    from repro.telemetry.convergence import ConvergenceConfig
+
+    spec = SweepSpec(axes={"alpha": (2.8, 3.0), "l": (48,)}, n=8000,
+                     horizon=lambda p: p["l"] ** 2)
+    full = run_sweep(spec, seed=1, runner=Runner(n_chunks=8)).results[0]
+    sizes = list(full.outcome.plan.sizes())
+    chunk_times = np.split(full.sample.times, np.cumsum(sizes)[:-1])
+    hits = [int((times != CENSORED).sum()) for times in chunk_times]
+
+    def rel_width(chunks):
+        proportion = StreamingProportion()
+        proportion.update(sum(hits[i] for i in chunks), sum(sizes[i] for i in chunks))
+        return proportion.rel_half_width
+
+    target = rel_width(range(8)) * (1 + 1e-9)
+    assert min(rel_width(c) for c in itertools.combinations(range(8), 7)) > target
+    config = ConvergenceConfig(rel_ci_width=target)
+    outcomes = []
+    for workers in (0, 2):
+        point = run_sweep(
+            spec, seed=1, runner=Runner(n_chunks=8, workers=workers, convergence=config)
+        ).results[0]
+        np.testing.assert_array_equal(point.sample.times, full.sample.times)
+        outcomes.append(point.outcome)
+    assert [o.converged for o in outcomes] == [False, False]
+    assert not any(o.degraded for o in outcomes)
